@@ -262,7 +262,7 @@ def _command_explore(args: argparse.Namespace) -> int:
     from repro.explore import (
         SCENARIOS,
         Schedule,
-        explore_parallel,
+        explore,
         get_scenario,
         replay_schedule,
         save_schedule,
@@ -295,9 +295,8 @@ def _command_explore(args: argparse.Namespace) -> int:
         return 0
 
     entry = get_scenario(args.scenario)
-    result = explore_parallel(
+    result = explore(
         args.scenario,
-        jobs=args.jobs,
         max_interleavings=args.max_interleavings,
         max_decisions=args.max_decisions,
         reduction=args.reduction,
@@ -492,42 +491,25 @@ def _command_stats(args: argparse.Namespace) -> int:
 def _command_bench(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    exit_code = 0
-    if args.suite in ("all", "obs"):
-        from repro.obs.bench import render_results, run_benchmarks
+    from repro.obs.bench import render_results, run_benchmarks
 
-        results, report_path = run_benchmarks(
-            bench_dir=Path(args.dir) if args.dir else None,
-            only=args.only or None,
-            quick=args.quick,
-            report_path=Path(args.output) if args.output else None,
-            progress=lambda name: print(
-                f"running {name} ...", file=sys.stderr, flush=True
-            ),
-        )
-        print(render_results(results))
-        for result in results:
-            if not result.ok:
-                print(f"\n--- {result.name} (exit {result.returncode}) ---")
-                print(result.output_tail)
-        print(f"\nreport written to {report_path}")
-        if not all(result.ok for result in results):
-            exit_code = 1
-    if args.suite in ("all", "perf"):
-        from repro.obs.perf import render_perf, run_perf_suite
-
-        report, failures, perf_path = run_perf_suite(
-            quick=args.quick,
-            report_path=Path(args.perf_output) if args.perf_output else None,
-            progress=lambda name: print(
-                f"perf: {name} ...", file=sys.stderr, flush=True
-            ),
-        )
-        print(render_perf(report))
-        print(f"\nperf report written to {perf_path}")
-        if failures:
-            exit_code = 1
-    return exit_code
+    results, report_path = run_benchmarks(
+        bench_dir=Path(args.dir) if args.dir else None,
+        only=args.only or None,
+        quick=args.quick,
+        report_path=Path(args.output) if args.output else None,
+        progress=lambda name: print(
+            f"running {name} ...", file=sys.stderr, flush=True
+        ),
+    )
+    print(render_results(results))
+    for result in results:
+        if not result.ok:
+            print(f"\n--- {result.name} (exit {result.returncode}) ---")
+            print(result.output_tail)
+    print(f"\nreport written to {report_path}")
+    # An empty selection (a mistyped --only) is a failure, not a pass.
+    return 0 if results and all(result.ok for result in results) else 1
 
 
 def _command_demo(args: argparse.Namespace) -> int:
@@ -708,17 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail (exit 1) unless the whole interleaving space was searched",
     )
     explore_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "worker processes for the search (default 1: the classic "
-            "sequential engine, bit-for-bit reproducible; N>=2 partitions "
-            "the tree into subtree work-units with results independent of N)"
-        ),
-    )
-    explore_parser.add_argument(
         "--no-shrink",
         action="store_true",
         help="report raw counterexample traces without delta-debugging",
@@ -778,27 +749,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = commands.add_parser(
         "bench",
-        help=(
-            "run the benchmark suites and write BENCH_observability.json "
-            "+ BENCH_perf.json"
-        ),
+        help="run the paper-experiment benchmarks and write BENCH_observability.json",
     )
     bench_parser.add_argument(
         "--quick",
         action="store_true",
-        help=(
-            "smoke mode: one pytest-benchmark round per module (no timing "
-            "stats) and single-round perf cases (the gate still applies)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--suite",
-        choices=("all", "obs", "perf"),
-        default="all",
-        help=(
-            "which suites to run: the pytest-benchmark modules (obs), the "
-            "checker/explorer throughput + regression gate (perf), or both"
-        ),
+        help="smoke mode: one pytest-benchmark round per module (no timing stats)",
     )
     bench_parser.add_argument(
         "--only",
@@ -808,10 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_parser.add_argument(
         "--output", help="report path (default: BENCH_observability.json in the repo root)"
-    )
-    bench_parser.add_argument(
-        "--perf-output",
-        help="perf report path (default: BENCH_perf.json in the repo root)",
     )
     bench_parser.add_argument("--dir", help="benchmarks directory (default: auto-detect)")
 

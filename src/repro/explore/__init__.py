@@ -27,7 +27,6 @@ from repro.explore.engine import (
     explore,
     run_with_trace,
 )
-from repro.explore.parallel import explore_parallel
 from repro.explore.scenarios import SCENARIOS, ExploreScenario, get_scenario
 from repro.explore.schedule import (
     Schedule,

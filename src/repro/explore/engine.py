@@ -278,36 +278,89 @@ def _verdict(result, check_theorem1: bool) -> CheckResult:
     return verdict
 
 
-def _dfs(
-    scenario: str,
-    factory: Callable[[], "object"],
-    outcome: ExploreResult,
-    stack: list[_Branch],
-    visited: dict[int, list[frozenset[str]]],
-    *,
-    max_interleavings: int,
-    max_decisions: Optional[int],
-    max_steps: int,
-    reduction: str,
-    check_theorem1: bool,
-    stop_after: Optional[int],
-    on_progress: Optional[Callable[[ExploreResult], None]],
-    frontier_target: Optional[int] = None,
-) -> tuple[bool, list[_Branch]]:
-    """The stateless-DFS work loop shared by :func:`explore` and the
-    parallel engine (:mod:`repro.explore.parallel`).
+def _emit_metrics(
+    metrics, outcome: ExploreResult, scenario: str, elapsed: float
+) -> None:
+    """Per-outcome run counters plus the throughput gauge.
 
-    Pops branches off *stack*, replays them, accumulates verdicts into
-    *outcome* and pushes sibling branches back, exactly as the classic
-    sequential loop does. With *frontier_target* set, the loop stops as
-    soon as the stack holds at least that many branches (the parallel
-    bootstrap: the remaining stack entries become work-units). Returns
-    ``(budget_hit, stack)``.
+    ``explored`` counts runs that completed *within* the decision budget;
+    truncated runs get their own outcome label so the counters partition
+    ``runs`` exactly. The gauge is always emitted — a zero-ish elapsed
+    (empty scenario, coarse clock) reports 0.0 instead of silently
+    dropping the sample.
     """
+    metrics.counter("explore_runs_total", scenario=scenario, outcome="explored").inc(
+        outcome.explored - outcome.truncated
+    )
+    metrics.counter("explore_runs_total", scenario=scenario, outcome="truncated").inc(
+        outcome.truncated
+    )
+    metrics.counter(
+        "explore_runs_total", scenario=scenario, outcome="pruned_sleep"
+    ).inc(outcome.pruned_sleep)
+    metrics.counter(
+        "explore_runs_total", scenario=scenario, outcome="pruned_fingerprint"
+    ).inc(outcome.pruned_fingerprint)
+    metrics.counter("explore_violations_total", scenario=scenario).inc(
+        len(outcome.violations)
+    )
+    rate = outcome.runs / elapsed if elapsed > 0 else 0.0
+    metrics.gauge("explore_runs_per_second", scenario=scenario).set(rate)
+
+
+def explore(
+    scenario: str,
+    factory: Optional[Callable[[], "object"]] = None,
+    *,
+    max_interleavings: int = 20_000,
+    max_decisions: Optional[int] = 128,
+    max_steps: int = 100_000,
+    reduction: str = "sleep",
+    check_theorem1: bool = False,
+    stop_after: Optional[int] = 1,
+    on_progress: Optional[Callable[[ExploreResult], None]] = None,
+    metrics=None,
+) -> ExploreResult:
+    """Systematically explore the interleavings of a small scenario.
+
+    Args:
+        scenario: name from :data:`repro.explore.scenarios.SCENARIOS`
+            (ignored for lookup if *factory* is given; still used as the
+            label on results).
+        factory: zero-argument callable building a fresh, unrun
+            ``ScenarioResult``. Defaults to the registered scenario.
+        max_interleavings: total run budget (complete + pruned runs).
+        max_decisions: per-run cap on decisions beyond the replayed
+            prefix; deeper branch points are not expanded (the run still
+            completes and is checked). None removes the cap.
+        max_steps: per-run event cap (guards against runaway scenarios).
+        reduction: ``"sleep"`` (sleep sets + fingerprints, default),
+            ``"fingerprint"`` (fingerprints only) or ``"none"`` (raw DFS).
+        check_theorem1: also run the Theorem 1 proof construction on
+            every causally-clean interleaving.
+        stop_after: stop once this many violating schedules were found
+            (None: keep searching the whole budget).
+        on_progress: called with the running result every 100 runs.
+        metrics: optional :class:`repro.obs.metrics.MetricsRegistry`
+            receiving per-outcome run counters and a runs-per-second
+            gauge (wall-clock — exploration throughput is a real-time
+            quantity, unlike anything recorded in traces).
+    """
+    if reduction not in REDUCTIONS:
+        raise ExplorationError(
+            f"unknown reduction {reduction!r}; pick one of {REDUCTIONS}"
+        )
+    if factory is None:
+        from repro.explore.scenarios import get_scenario
+
+        factory = get_scenario(scenario).factory
+    outcome = ExploreResult(scenario=scenario)
+    visited: dict[int, list[frozenset[str]]] = {}
+    stack: list[_Branch] = [_Branch(prefix=(), sleep=frozenset())]
+    started_at = time.perf_counter()
+    logger.debug("exploring %r (reduction=%s)", scenario, reduction)
     budget_hit = False
     while stack:
-        if frontier_target is not None and len(stack) >= frontier_target:
-            break
         if outcome.runs >= max_interleavings:
             budget_hit = True
             break
@@ -397,104 +450,6 @@ def _dfs(
                 outcome.pruned_sleep + outcome.pruned_fingerprint,
                 len(stack),
             )
-    return budget_hit, stack
-
-
-def _emit_metrics(
-    metrics, outcome: ExploreResult, scenario: str, elapsed: float
-) -> None:
-    """Per-outcome run counters plus the throughput gauge.
-
-    ``explored`` counts runs that completed *within* the decision budget;
-    truncated runs get their own outcome label so the counters partition
-    ``runs`` exactly. The gauge is always emitted — a zero-ish elapsed
-    (empty scenario, coarse clock) reports 0.0 instead of silently
-    dropping the sample.
-    """
-    metrics.counter("explore_runs_total", scenario=scenario, outcome="explored").inc(
-        outcome.explored - outcome.truncated
-    )
-    metrics.counter("explore_runs_total", scenario=scenario, outcome="truncated").inc(
-        outcome.truncated
-    )
-    metrics.counter(
-        "explore_runs_total", scenario=scenario, outcome="pruned_sleep"
-    ).inc(outcome.pruned_sleep)
-    metrics.counter(
-        "explore_runs_total", scenario=scenario, outcome="pruned_fingerprint"
-    ).inc(outcome.pruned_fingerprint)
-    metrics.counter("explore_violations_total", scenario=scenario).inc(
-        len(outcome.violations)
-    )
-    rate = outcome.runs / elapsed if elapsed > 0 else 0.0
-    metrics.gauge("explore_runs_per_second", scenario=scenario).set(rate)
-
-
-def explore(
-    scenario: str,
-    factory: Optional[Callable[[], "object"]] = None,
-    *,
-    max_interleavings: int = 20_000,
-    max_decisions: Optional[int] = 128,
-    max_steps: int = 100_000,
-    reduction: str = "sleep",
-    check_theorem1: bool = False,
-    stop_after: Optional[int] = 1,
-    on_progress: Optional[Callable[[ExploreResult], None]] = None,
-    metrics=None,
-) -> ExploreResult:
-    """Systematically explore the interleavings of a small scenario.
-
-    Args:
-        scenario: name from :data:`repro.explore.scenarios.SCENARIOS`
-            (ignored for lookup if *factory* is given; still used as the
-            label on results).
-        factory: zero-argument callable building a fresh, unrun
-            ``ScenarioResult``. Defaults to the registered scenario.
-        max_interleavings: total run budget (complete + pruned runs).
-        max_decisions: per-run cap on decisions beyond the replayed
-            prefix; deeper branch points are not expanded (the run still
-            completes and is checked). None removes the cap.
-        max_steps: per-run event cap (guards against runaway scenarios).
-        reduction: ``"sleep"`` (sleep sets + fingerprints, default),
-            ``"fingerprint"`` (fingerprints only) or ``"none"`` (raw DFS).
-        check_theorem1: also run the Theorem 1 proof construction on
-            every causally-clean interleaving.
-        stop_after: stop once this many violating schedules were found
-            (None: keep searching the whole budget).
-        on_progress: called with the running result every 100 runs.
-        metrics: optional :class:`repro.obs.metrics.MetricsRegistry`
-            receiving per-outcome run counters and a runs-per-second
-            gauge (wall-clock — exploration throughput is a real-time
-            quantity, unlike anything recorded in traces).
-    """
-    if reduction not in REDUCTIONS:
-        raise ExplorationError(
-            f"unknown reduction {reduction!r}; pick one of {REDUCTIONS}"
-        )
-    if factory is None:
-        from repro.explore.scenarios import get_scenario
-
-        factory = get_scenario(scenario).factory
-    outcome = ExploreResult(scenario=scenario)
-    visited: dict[int, list[frozenset[str]]] = {}
-    stack: list[_Branch] = [_Branch(prefix=(), sleep=frozenset())]
-    started_at = time.perf_counter()
-    logger.debug("exploring %r (reduction=%s)", scenario, reduction)
-    budget_hit, stack = _dfs(
-        scenario,
-        factory,
-        outcome,
-        stack,
-        visited,
-        max_interleavings=max_interleavings,
-        max_decisions=max_decisions,
-        max_steps=max_steps,
-        reduction=reduction,
-        check_theorem1=check_theorem1,
-        stop_after=stop_after,
-        on_progress=on_progress,
-    )
     outcome.exhausted = (
         not stack and not budget_hit and outcome.truncated == 0
     )

@@ -107,7 +107,10 @@ def run_bench_file(path: Path, quick: bool = False, timeout: float = 900.0) -> B
             output = proc.stdout + proc.stderr
         except subprocess.TimeoutExpired as exc:
             returncode = -1
-            output = f"timed out after {timeout}s\n" + (exc.stdout or "")
+            # TimeoutExpired carries the captured output as bytes even
+            # under text=True.
+            partial = (exc.stdout or b"").decode("utf-8", errors="replace")
+            output = f"timed out after {timeout}s\n" + partial
         wall = time.perf_counter() - started
 
         means: dict[str, float] = {}
@@ -160,7 +163,7 @@ def run_benchmarks(
         "mode": "quick" if quick else "full",
         "python": platform.python_version(),
         "benchmarks": [result.to_json() for result in results],
-        "ok": all(result.ok for result in results),
+        "ok": bool(results) and all(result.ok for result in results),
     }
     report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return results, report_path

@@ -219,8 +219,6 @@ class TestBenchCommand:
             [
                 "bench",
                 "--quick",
-                "--suite",
-                "obs",
                 "--dir",
                 str(bench_dir),
                 "--output",
@@ -231,18 +229,6 @@ class TestBenchCommand:
         assert code == 0
         assert report.exists()
         assert "bench_ok" in out
-
-    def test_perf_suite_quick(self, tmp_path, capsys):
-        # The real perf suite in quick mode, redirected away from the
-        # committed repo-root report.
-        report = tmp_path / "perf.json"
-        code = main(
-            ["bench", "--quick", "--suite", "perf", "--perf-output", str(report)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert report.exists()
-        assert "perf suite (quick" in out
 
 
 class TestVerbosityFlags:

@@ -16,9 +16,15 @@ from repro.explore import (
     save_schedule,
     shrink_trace,
 )
-from repro.explore.engine import Counterexample, scheduling_aliases
+from repro.explore.engine import (
+    Counterexample,
+    ExploreResult,
+    _emit_metrics,
+    scheduling_aliases,
+)
 from repro.explore.fingerprint import freeze, state_fingerprint
 from repro.explore.policy import TracePolicy
+from repro.obs.metrics import MetricsRegistry
 from repro.workloads.scenarios import (
     run_until_quiescent,
     small_bridge_scenario,
@@ -157,6 +163,54 @@ class TestExploreEngine:
         )
         assert raw.pruned_sleep == raw.pruned_fingerprint == 0
         assert reduced.pruned_sleep + reduced.pruned_fingerprint > 0
+
+    def test_outcome_counters_partition_runs(self):
+        registry = MetricsRegistry()
+        outcome = ExploreResult(
+            scenario="s",
+            explored=10,
+            truncated=3,
+            pruned_sleep=5,
+            pruned_fingerprint=2,
+        )
+        _emit_metrics(registry, outcome, "s", elapsed=2.0)
+        values = {
+            instrument.labels[0][1]: instrument.value
+            for instrument in registry
+            if instrument.name == "explore_runs_total"
+        }
+        assert values == {
+            "explored": 7.0,
+            "truncated": 3.0,
+            "pruned_sleep": 5.0,
+            "pruned_fingerprint": 2.0,
+        }
+        assert sum(values.values()) == outcome.runs
+
+    def test_gauge_emitted_even_for_zero_elapsed(self):
+        registry = MetricsRegistry()
+        _emit_metrics(
+            registry, ExploreResult(scenario="s", explored=1), "s", elapsed=0.0
+        )
+        gauges = [
+            instrument
+            for instrument in registry
+            if instrument.name == "explore_runs_per_second"
+        ]
+        assert len(gauges) == 1
+        assert gauges[0].value == 0.0
+
+    def test_gauge_reports_throughput(self):
+        registry = MetricsRegistry()
+        _emit_metrics(
+            registry, ExploreResult(scenario="s", explored=8), "s", elapsed=2.0
+        )
+        gauge = next(
+            instrument
+            for instrument in registry
+            if instrument.name == "explore_runs_per_second"
+        )
+        assert gauge.value == pytest.approx(4.0)
 
 
 class TestShrink:

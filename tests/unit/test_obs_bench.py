@@ -1,15 +1,12 @@
-"""Unit tests for the unified benchmark runner (against a fake suite)
-and the perf suite's regression gate (against canned case timings)."""
+"""Unit tests for the unified benchmark runner, against a fake suite."""
 
 import json
 
-import pytest
-
-from repro.obs import perf
 from repro.obs.bench import (
     default_bench_dir,
     discover,
     render_results,
+    run_bench_file,
     run_benchmarks,
 )
 
@@ -21,6 +18,15 @@ def test_fast():
 FAILING = """
 def test_broken():
     assert False, "deliberately failing"
+"""
+
+HANGING = """
+import time
+
+def test_hangs(capsys):
+    with capsys.disabled():
+        print("partial output before the hang", flush=True)
+    time.sleep(60)
 """
 
 
@@ -80,6 +86,26 @@ class TestRunner:
         )
         assert [result.name for result in results] == ["bench_alpha"]
 
+        # A selection that matches nothing (a typo) must not pass.
+        report_path = tmp_path / "empty.json"
+        results, _ = run_benchmarks(
+            bench_dir=bench_dir,
+            only=["no_such_module"],
+            quick=True,
+            report_path=report_path,
+        )
+        assert results == []
+        assert json.loads(report_path.read_text(encoding="utf-8"))["ok"] is False
+
+    def test_timeout_is_reported_as_failure(self, tmp_path):
+        path = tmp_path / "bench_hang.py"
+        path.write_text(HANGING, encoding="utf-8")
+        result = run_bench_file(path, quick=True, timeout=10.0)
+        assert result.ok is False
+        assert result.returncode == -1
+        assert "timed out after 10.0s" in result.output_tail
+        assert "partial output before the hang" in result.output_tail
+
     def test_render(self, tmp_path):
         bench_dir = fake_suite(tmp_path)
         results, _ = run_benchmarks(
@@ -89,124 +115,3 @@ class TestRunner:
         assert "bench_alpha" in rendered
         assert "FAIL" in rendered
         assert render_results([]) == "no benchmark modules found"
-
-
-class TestPerfSuite:
-    """The gate logic, on canned case timings (real cases are too slow
-    for a unit test; the integration path is CI's perf-smoke job)."""
-
-    @pytest.fixture
-    def canned(self, monkeypatch):
-        def fake_case(name, seconds, gate=True):
-            return lambda rounds: {
-                "name": name,
-                "seconds": seconds,
-                "ops": 1,
-                "ok": True,
-                "gate": gate,
-            }
-
-        monkeypatch.setattr(perf, "calibrate", lambda rounds=3: 0.01)
-        monkeypatch.setattr(
-            perf, "_case_checker_causal", fake_case("checker_causal_320", 0.05)
-        )
-        monkeypatch.setattr(
-            perf,
-            "_case_checker_sessions",
-            fake_case("checker_sessions_320", 0.02),
-        )
-        monkeypatch.setattr(
-            perf,
-            "_case_causality_chain5",
-            fake_case("causality_chain5_large", 0.1),
-        )
-        monkeypatch.setattr(
-            perf, "_case_explorer", lambda scenario, jobs: ([], [])
-        )
-
-    def write_baseline(self, tmp_path, causal_seconds, calibration=0.01):
-        baseline = tmp_path / "perf_baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "calibration": calibration,
-                    "cases": {
-                        "checker_causal_320": {"seconds": causal_seconds},
-                        "checker_sessions_320": {"seconds": 0.02},
-                        "causality_chain5_large": {"seconds": 0.1},
-                    },
-                    "pre_optimization": {"checker_causal_320": 0.5},
-                }
-            ),
-            encoding="utf-8",
-        )
-        return baseline
-
-    def test_passes_within_tolerance(self, canned, tmp_path):
-        baseline = self.write_baseline(tmp_path, causal_seconds=0.05)
-        report, failures, path = perf.run_perf_suite(
-            quick=True,
-            report_path=tmp_path / "BENCH_perf.json",
-            baseline_path=baseline,
-        )
-        assert failures == []
-        assert report["ok"]
-        assert path.exists()
-        blob = json.loads(path.read_text(encoding="utf-8"))
-        assert blob["suite"] == "repro-perf"
-        # 0.5s before the optimization, 0.05s now -> 10x.
-        assert blob["speedup_vs_pre_optimization"]["checker_causal_320"] == 10.0
-
-    def test_fails_beyond_thirty_percent_regression(self, canned, tmp_path):
-        # Baseline says 0.05s was achieved at calibration 0.01; the
-        # "current" run reports the same calibration but 0.05s cases
-        # against a 0.03s baseline -> 66% slower -> gate failure.
-        baseline = self.write_baseline(tmp_path, causal_seconds=0.03)
-        report, failures, _ = perf.run_perf_suite(
-            quick=True,
-            report_path=tmp_path / "BENCH_perf.json",
-            baseline_path=baseline,
-        )
-        assert any("checker_causal_320" in failure for failure in failures)
-        assert not report["ok"]
-
-    def test_calibration_normalizes_machine_speed(self, canned, tmp_path):
-        # Same 0.05s wall time, but the baseline machine was 2x faster
-        # (calibration 0.005 vs our 0.01): normalized time is 0.025s,
-        # well inside the 0.03 * 1.3 budget.
-        baseline = self.write_baseline(
-            tmp_path, causal_seconds=0.03, calibration=0.005
-        )
-        _, failures, _ = perf.run_perf_suite(
-            quick=True,
-            report_path=tmp_path / "BENCH_perf.json",
-            baseline_path=baseline,
-        )
-        assert failures == []
-
-    def test_runs_without_baseline(self, canned, tmp_path):
-        report, failures, _ = perf.run_perf_suite(
-            quick=True,
-            report_path=tmp_path / "BENCH_perf.json",
-            baseline_path=tmp_path / "missing.json",
-        )
-        assert failures == []
-        assert report["baseline"] is None
-        assert report["speedup_vs_pre_optimization"] == {}
-
-    def test_render_perf(self, canned, tmp_path):
-        baseline = self.write_baseline(tmp_path, causal_seconds=0.05)
-        report, _, _ = perf.run_perf_suite(
-            quick=True,
-            report_path=tmp_path / "BENCH_perf.json",
-            baseline_path=baseline,
-        )
-        rendered = perf.render_perf(report)
-        assert "checker_causal_320" in rendered
-        assert "vs pre-optimization" in rendered
-
-    def test_repo_baseline_is_committed(self):
-        assert perf.default_baseline_path().exists(), (
-            "benchmarks/perf_baseline.json must be committed for the "
-            "perf-smoke gate"
-        )

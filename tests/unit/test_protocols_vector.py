@@ -113,12 +113,21 @@ class TestConsistency:
         from repro.workloads import WorkloadSpec, populate_system
         from repro.workloads.scenarios import run_until_quiescent
 
-        for seed in range(5):
+        # Five small seeded shapes, then a 320-op and a 300-op history.
+        shapes = [(4, 8, 0.6, seed) for seed in range(5)]
+        shapes += [(8, 40, 0.4, 0), (10, 30, 0.4, 1)]
+        for processes, ops, write_ratio, seed in shapes:
             sim, recorder, system = make_system(seed=seed)
             populate_system(
                 system,
-                WorkloadSpec(processes=4, ops_per_process=8, write_ratio=0.6),
+                WorkloadSpec(
+                    processes=processes,
+                    ops_per_process=ops,
+                    write_ratio=write_ratio,
+                ),
                 seed=seed,
             )
             run_until_quiescent(sim, [system])
-            assert check_causal(recorder.history()).ok
+            history = recorder.history()
+            assert len(history) == processes * ops
+            assert check_causal(history).ok

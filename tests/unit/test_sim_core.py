@@ -131,6 +131,17 @@ class TestRunBounds:
         sim.run()
         assert sim.events_processed == 4
 
+        # Events scheduled from inside callbacks are counted too.
+        chained = Simulator()
+
+        def chain(remaining):
+            if remaining:
+                chained.schedule(0.001, lambda: chain(remaining - 1))
+
+        chain(20_000)
+        chained.run()
+        assert chained.events_processed == 20_000
+
     def test_run_is_not_reentrant(self):
         sim = Simulator()
         captured = []
