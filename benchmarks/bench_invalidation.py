@@ -14,7 +14,8 @@ results for propagation only. Measured here:
 from repro.checker import check_causal
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.metrics import TrafficMeter, response_stats
+from repro.metrics import response_stats
+from repro.obs import Instruments, MetricsRegistry
 from repro.protocols import get
 from repro.sim.core import Simulator
 from repro.workloads import WorkloadSpec, build_interconnected, populate_system
@@ -22,10 +23,10 @@ from repro.workloads.scenarios import run_until_quiescent
 
 
 def run_protocol(protocol: str, write_ratio: float, seed: int = 0):
-    sim = Simulator()
+    registry = MetricsRegistry()
+    sim = Simulator(instruments=Instruments(metrics=registry))
     recorder = HistoryRecorder()
     system = DSMSystem(sim, "S", get(protocol), recorder=recorder, seed=seed)
-    meter = TrafficMeter().attach(system.network)
     populate_system(
         system,
         WorkloadSpec(processes=5, ops_per_process=6, write_ratio=write_ratio),
@@ -35,11 +36,13 @@ def run_protocol(protocol: str, write_ratio: float, seed: int = 0):
     history = recorder.history()
     assert check_causal(history).ok
     writes = max(sum(1 for op in history if op.is_write), 1)
-    value_messages = meter.by_kind["CausalUpdate"] + meter.by_kind["FetchReply"]
+    values = sum(
+        registry.total("net_messages_total", kind=kind) for kind in ("CausalUpdate", "FetchReply")
+    )
+    notices = registry.total("net_messages_total", kind="Invalidation")
     return {
-        "value_msgs_per_write": value_messages / writes,
-        "control_msgs_per_write": meter.by_kind["Invalidation"] / writes,
-        "bytes_per_write": meter.total_bytes / writes,
+        "value_msgs_per_write": values / writes,
+        "control_msgs_per_write": notices / writes,
         "mean_response": response_stats([system]).mean,
     }
 
@@ -48,41 +51,45 @@ def test_x2_invalidation_moves_fewer_values_when_read_light(benchmark):
     invalidation = benchmark(run_protocol, "invalidation-causal", 0.8)
     propagation = run_protocol("vector-causal", 0.8)
     print("\nX2a: write-heavy workload (80% writes), value-bearing messages per write")
-    print(f"  propagation (vector):   {propagation['value_msgs_per_write']:.2f} "
-          f"({propagation['bytes_per_write']:.0f} B/write)")
-    print(f"  invalidation:           {invalidation['value_msgs_per_write']:.2f} "
-          f"({invalidation['bytes_per_write']:.0f} B/write)")
+    print(f"  propagation (vector):   {propagation['value_msgs_per_write']:.2f}")
+    print(f"  invalidation:           {invalidation['value_msgs_per_write']:.2f}")
     assert invalidation["value_msgs_per_write"] < propagation["value_msgs_per_write"]
-    # Byte savings depend on the value size: with this workload's tiny
-    # values the two are close; the large-value test below pins the gap.
 
 
-def test_x2_byte_savings_grow_with_value_size(benchmark):
-    """With realistic value sizes the invalidation protocol's wire savings
-    are decisive: invalidations carry timestamps, not payloads."""
+def test_x2_invalidation_ships_no_values_without_readers(benchmark):
+    """With a 4 KiB value and nobody reading, propagation ships the value
+    n-1 times; invalidation sends n-1 timestamp-only notices and no value
+    at all. The value size changes no count."""
+    from dataclasses import fields
+
     from repro.memory.program import Sleep, Write
-    from repro.memory.recorder import HistoryRecorder
-    from repro.memory.system import DSMSystem
-    from repro.sim.core import Simulator
+    from repro.protocols.invalidation import Invalidation
 
-    def run(protocol):
-        sim = Simulator()
+    n = 5
+
+    def run(protocol, value):
+        registry = MetricsRegistry()
+        sim = Simulator(instruments=Instruments(metrics=registry))
         system = DSMSystem(sim, "S", get(protocol), recorder=HistoryRecorder(), seed=0)
-        meter = TrafficMeter().attach(system.network)
-        payload = "x" * 4096  # a realistic document-sized value
-        system.add_application("A", [Write("doc", payload)])
-        for index in range(4):
+        system.add_application("A", [Write("doc", value)])
+        for index in range(n - 1):
             system.add_application(f"p{index}", [Sleep(20.0)])
         sim.run()
-        return meter.total_bytes
+        kinds = ("CausalUpdate", "Invalidation", "FetchReply")
+        return {kind: int(registry.total("net_messages_total", kind=kind)) for kind in kinds}
 
-    invalidation_bytes = benchmark(run, "invalidation-causal")
-    propagation_bytes = run("vector-causal")
+    document = "x" * 4096  # a realistic document-sized value
+    invalidation = benchmark(run, "invalidation-causal", document)
+    propagation = run("vector-causal", document)
     print(
         f"\nX2d: 4 KiB value, write-only, nobody reads: "
-        f"propagation {propagation_bytes} B vs invalidation {invalidation_bytes} B"
+        f"propagation {propagation}, invalidation {invalidation}"
     )
-    assert invalidation_bytes < propagation_bytes / 10
+    assert propagation == {"CausalUpdate": n - 1, "Invalidation": 0, "FetchReply": 0}
+    assert invalidation == {"CausalUpdate": 0, "Invalidation": n - 1, "FetchReply": 0}
+    assert run("invalidation-causal", "x") == invalidation
+    assert run("vector-causal", "x") == propagation
+    assert "value" not in {spec.name for spec in fields(Invalidation)}
 
 
 def test_x2_fetches_cost_read_latency(benchmark):

@@ -14,7 +14,8 @@ workload:
 from repro.checker import check_causal
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.metrics import TrafficMeter, response_stats
+from repro.metrics import response_stats
+from repro.obs import Instruments, MetricsRegistry
 from repro.protocols import get
 from repro.sim.core import Simulator
 from repro.workloads import WorkloadSpec, populate_system
@@ -25,11 +26,11 @@ SPEC = WorkloadSpec(processes=PROCESSES, ops_per_process=6, write_ratio=0.5)
 
 
 def run_partial(replication_factor: int, seed: int = 0):
-    sim = Simulator()
+    registry = MetricsRegistry()
+    sim = Simulator(instruments=Instruments(metrics=registry))
     recorder = HistoryRecorder()
     spec = get("partial-causal").with_options(replication_factor=replication_factor)
     system = DSMSystem(sim, "S", spec, recorder=recorder, seed=seed)
-    meter = TrafficMeter().attach(system.network)
     populate_system(system, SPEC, seed=seed)
     run_until_quiescent(sim, [system])
     history = recorder.history()
@@ -37,9 +38,11 @@ def run_partial(replication_factor: int, seed: int = 0):
     assert check_causal(history).ok
     remote_reads = sum(app.mcs.remote_reads for app in system.app_processes)
     stats = response_stats([system])
+    values = registry.total("net_messages_total", kind="PartialUpdate")
+    notices = registry.total("net_messages_total", kind="WriteNotice")
     return {
-        "value_msgs_per_write": meter.by_kind["PartialUpdate"] / writes,
-        "notice_msgs_per_write": meter.by_kind["WriteNotice"] / writes,
+        "value_msgs_per_write": values / writes,
+        "notice_msgs_per_write": notices / writes,
         "remote_reads": remote_reads,
         "mean_response": stats.mean,
     }

@@ -30,7 +30,8 @@ from repro.analysis import (
     interconnected_messages_per_write,
     star_worst_latency,
 )
-from repro.metrics import TrafficMeter, VisibilityTracker
+from repro.metrics import VisibilityTracker
+from repro.obs import Instruments, MetricsRegistry
 from repro.workloads import WorkloadSpec, populate_system
 
 LANS = 4
@@ -39,10 +40,10 @@ SPEC = WorkloadSpec(processes=PER_LAN, ops_per_process=4, write_ratio=1.0)
 
 
 def run_flat():
-    sim = Simulator()
+    registry = MetricsRegistry()
+    sim = Simulator(instruments=Instruments(metrics=registry))
     recorder = HistoryRecorder()
     system = DSMSystem(sim, "flat", get_protocol("vector-causal"), recorder=recorder)
-    meter = TrafficMeter().attach(system.network)
     populate_system(
         system,
         WorkloadSpec(processes=LANS * PER_LAN, ops_per_process=4, write_ratio=1.0),
@@ -55,7 +56,7 @@ def run_flat():
     assert check_causal(recorder.history()).ok
     return {
         "messages/write": system.network.messages_sent / writes,
-        "slow-link crossings/write": meter.cross_segment / writes,
+        "slow-link crossings/write": registry.total("bottleneck_crossings_total") / writes,
         "worst visibility latency": tracker.worst_latency(),
     }
 

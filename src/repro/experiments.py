@@ -14,7 +14,8 @@ from repro.interconnect.topology import interconnect
 from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.metrics import ResponseStats, TrafficMeter, VisibilityTracker, response_stats
+from repro.metrics import ResponseStats, VisibilityTracker, response_stats
+from repro.obs import Instruments, MetricsRegistry
 from repro.protocols import get
 from repro.sim.channel import PeriodicAvailability
 from repro.sim.core import Simulator
@@ -71,10 +72,10 @@ def messages_per_write_interconnected(
 
 def crossings_per_write_flat(per_side: int) -> float:
     """Inter-LAN crossings per write: one flat system split across 2 LANs."""
-    sim = Simulator()
+    registry = MetricsRegistry()
+    sim = Simulator(instruments=Instruments(metrics=registry))
     recorder = HistoryRecorder()
     system = DSMSystem(sim, "S", get("vector-causal"), recorder=recorder, seed=per_side)
-    meter = TrafficMeter().attach(system.network)
     populate_system(
         system,
         WorkloadSpec(processes=2 * per_side, ops_per_process=4, write_ratio=1.0),
@@ -83,7 +84,7 @@ def crossings_per_write_flat(per_side: int) -> float:
     )
     run_until_quiescent(sim, [system])
     writes = sum(1 for op in recorder.history() if op.is_write)
-    return meter.crossings("lan0", "lan1") / writes
+    return registry.total("bottleneck_crossings_total") / writes
 
 
 def crossings_per_write_bridged(per_side: int) -> float:

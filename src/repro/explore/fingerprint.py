@@ -50,7 +50,6 @@ _SKIP_KEYS = frozenset(
         "upcall_handler",
         "update_listener",
         "_deliver",
-        "_on_send",
         "mcs",
         "_program",
         "_think_time",

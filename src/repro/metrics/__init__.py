@@ -1,15 +1,13 @@
-"""Measurement: traffic accounting, visibility latency, response times."""
+"""Measurement: visibility latency, response times, replica convergence.
+
+Message counts come from ``Network.messages_sent`` and the metrics
+registry's ``net_messages_total``/``bottleneck_crossings_total``."""
 
 from repro.metrics.collector import ResponseStats, response_stats
 from repro.metrics.convergence import ConvergenceReport, replica_convergence
 from repro.metrics.latency import VisibilityTracker, WriteVisibility
-from repro.metrics.traffic import MESSAGE_OVERHEAD_BYTES, TrafficMeter, estimate_bytes, messages_per_write
 
 __all__ = [
-    "TrafficMeter",
-    "estimate_bytes",
-    "MESSAGE_OVERHEAD_BYTES",
-    "messages_per_write",
     "VisibilityTracker",
     "WriteVisibility",
     "ConvergenceReport",

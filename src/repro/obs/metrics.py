@@ -12,7 +12,7 @@ Design notes:
 * Instruments are identified by ``(name, sorted label items)``. Looking
   up an instrument with the same name but a different label set returns a
   distinct child, Prometheus-style: ``registry.counter(
-  "channel_messages_total", channel="net:p0->p1")``.
+  "net_messages_total", network="S0", kind="CausalUpdate")``.
 * Counters and gauges are exact; histograms store bucketed counts plus
   exact sum/min/max (enough for mean and tail summaries without keeping
   every sample).
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Optional, Union
 
 Labels = tuple[tuple[str, str], ...]
@@ -195,12 +194,17 @@ class MetricsRegistry:
 
     # -- aggregation ----------------------------------------------------
 
-    def total(self, name: str) -> float:
-        """Sum of a counter/gauge family's values across all label sets."""
+    def total(self, name: str, **labels: Any) -> float:
+        """Sum of a counter/gauge family's values across all label sets,
+        restricted to the series carrying every given label (e.g.
+        ``total("net_messages_total", kind="Invalidation")``)."""
+        wanted = set(_labels(labels))
         return sum(
             instrument.value
-            for (iname, _), instrument in self._instruments.items()
-            if iname == name and isinstance(instrument, (Counter, Gauge))
+            for (iname, ilabels), instrument in self._instruments.items()
+            if iname == name
+            and isinstance(instrument, (Counter, Gauge))
+            and wanted.issubset(ilabels)
         )
 
     def snapshot(self) -> dict[str, Any]:
@@ -243,25 +247,11 @@ class MetricsRegistry:
         return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
 
-@dataclass
-class MetricDelta:
-    """Difference of a counter family between two snapshots (bench use)."""
-
-    name: str
-    before: float
-    after: float
-
-    @property
-    def delta(self) -> float:
-        return self.after - self.before
-
-
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",
     "Instrument",
-    "MetricDelta",
     "MetricsRegistry",
 ]

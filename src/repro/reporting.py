@@ -225,7 +225,8 @@ def experiment_e11() -> str:
 def experiment_x1() -> str:
     from repro.memory.recorder import HistoryRecorder
     from repro.memory.system import DSMSystem
-    from repro.metrics import TrafficMeter, response_stats
+    from repro.metrics import response_stats
+    from repro.obs import Instruments, MetricsRegistry
     from repro.protocols import get
     from repro.sim.core import Simulator
     from repro.workloads import populate_system
@@ -235,11 +236,11 @@ def experiment_x1() -> str:
         "|---:|---:|---:|---:|---:|",
     ]
     for factor in (1, 2, 4, 6):
-        sim = Simulator()
+        registry = MetricsRegistry()
+        sim = Simulator(instruments=Instruments(metrics=registry))
         recorder = HistoryRecorder()
         spec = get("partial-causal").with_options(replication_factor=factor)
         system = DSMSystem(sim, "S", spec, recorder=recorder, seed=0)
-        meter = TrafficMeter().attach(system.network)
         populate_system(
             system, WorkloadSpec(processes=6, ops_per_process=6, write_ratio=0.5), seed=0
         )
@@ -248,9 +249,11 @@ def experiment_x1() -> str:
         assert check_causal(history).ok
         writes = sum(1 for op in history if op.is_write)
         remote = sum(app.mcs.remote_reads for app in system.app_processes)
+        values = registry.total("net_messages_total", kind="PartialUpdate")
+        notices = registry.total("net_messages_total", kind="WriteNotice")
         lines.append(
-            f"| {factor} | {meter.by_kind['PartialUpdate'] / writes:.2f} "
-            f"| {meter.by_kind['WriteNotice'] / writes:.2f} | {remote} "
+            f"| {factor} | {values / writes:.2f} "
+            f"| {notices / writes:.2f} | {remote} "
             f"| {response_stats([system]).mean:.3f} |"
         )
     return "\n".join(lines)
@@ -259,7 +262,8 @@ def experiment_x1() -> str:
 def experiment_x2() -> str:
     from repro.memory.recorder import HistoryRecorder
     from repro.memory.system import DSMSystem
-    from repro.metrics import TrafficMeter, response_stats
+    from repro.metrics import response_stats
+    from repro.obs import Instruments, MetricsRegistry
     from repro.protocols import get
     from repro.sim.core import Simulator
     from repro.workloads import populate_system
@@ -270,10 +274,10 @@ def experiment_x2() -> str:
     ]
     for protocol in ("vector-causal", "invalidation-causal"):
         for write_ratio, label in ((0.8, "write-heavy"), (0.3, "read-heavy")):
-            sim = Simulator()
+            registry = MetricsRegistry()
+            sim = Simulator(instruments=Instruments(metrics=registry))
             recorder = HistoryRecorder()
             system = DSMSystem(sim, "S", get(protocol), recorder=recorder, seed=0)
-            meter = TrafficMeter().attach(system.network)
             populate_system(
                 system,
                 WorkloadSpec(processes=5, ops_per_process=6, write_ratio=write_ratio),
@@ -283,7 +287,10 @@ def experiment_x2() -> str:
             history = recorder.history()
             causal = check_causal(history).ok
             writes = max(sum(1 for op in history if op.is_write), 1)
-            values = meter.by_kind["CausalUpdate"] + meter.by_kind["FetchReply"]
+            values = sum(
+                registry.total("net_messages_total", kind=kind)
+                for kind in ("CausalUpdate", "FetchReply")
+            )
             lines.append(
                 f"| {protocol} | {label} | {values / writes:.2f} "
                 f"| {response_stats([system]).mean:.3f} | {'yes' if causal else 'NO'} |"

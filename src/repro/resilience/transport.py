@@ -128,12 +128,10 @@ class LossyChannel(ReliableFifoChannel):
         availability: Optional[AvailabilitySchedule] = None,
         rng: Optional[random.Random] = None,
         name: str = "lossy",
-        on_send: Optional[Callable[["ReliableFifoChannel", Any], None]] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         super().__init__(
-            sim, deliver, delay=delay, availability=availability, rng=rng,
-            name=name, on_send=on_send,
+            sim, deliver, delay=delay, availability=availability, rng=rng, name=name
         )
         self.faults = faults or NO_FAULTS
         self.frames_dropped = 0
@@ -153,19 +151,12 @@ class LossyChannel(ReliableFifoChannel):
             raise ChannelError(f"send on closed channel {self.name!r}")
         now = self._sim.now
         self.stats.messages_sent += 1
-        if self._on_send is not None:
-            self._on_send(self, message)
         ordinal = self.stats.messages_sent
         instruments = self._sim.instruments
-        if instruments is not None:
-            if instruments.metrics is not None:
-                instruments.metrics.counter(
-                    "channel_messages_total", channel=self.name
-                ).inc()
-            if instruments.tracer is not None:
-                instruments.tracer.emit(
-                    now, "msg.send", self.name, channel=self.name, n=ordinal
-                )
+        if instruments is not None and instruments.tracer is not None:
+            instruments.tracer.emit(
+                now, "msg.send", self.name, channel=self.name, n=ordinal
+            )
         # One rng draw per knob per frame, always, so that toggling one
         # fault never perturbs the stream feeding the others.
         r_drop = self._rng.random()
@@ -306,7 +297,6 @@ class ResilientTransport:
         availability: Optional[AvailabilitySchedule] = None,
         rng: Optional[random.Random] = None,
         name: str = "resilient",
-        on_send: Optional[Callable[["ResilientTransport", Any], None]] = None,
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
         sender_up: Optional[Callable[[], bool]] = None,
@@ -317,7 +307,6 @@ class ResilientTransport:
         self._rng = rng or random.Random(0)
         self.name = name
         self.retry = retry or RetryPolicy()
-        self._on_send = on_send
         self._sender_up = sender_up or (lambda: True)
         self._receiver_up = receiver_up or (lambda: True)
         self._closed = False
@@ -377,8 +366,6 @@ class ResilientTransport:
         self.stats.max_queue_length = max(self.stats.max_queue_length, len(self._unacked))
         if self.on_assign is not None:
             self.on_assign(seq, message)
-        if self._on_send is not None:
-            self._on_send(self, message)
         eta = self._transmit(seq, message)
         self._arm_timer()
         return eta

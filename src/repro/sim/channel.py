@@ -184,7 +184,6 @@ class ReliableFifoChannel:
         availability: AvailabilitySchedule | None = None,
         rng: random.Random | None = None,
         name: str = "channel",
-        on_send: Callable[["ReliableFifoChannel", Any], None] | None = None,
     ) -> None:
         self._sim = sim
         self._deliver = deliver
@@ -196,7 +195,6 @@ class ReliableFifoChannel:
         self._pending = 0
         self.name = name
         self.stats = ChannelStats()
-        self._on_send = on_send
 
     @property
     def is_up(self) -> bool:
@@ -221,20 +219,11 @@ class ReliableFifoChannel:
         self.stats.messages_sent += 1
         self._pending += 1
         self.stats.max_queue_length = max(self.stats.max_queue_length, self._pending)
-        if self._on_send is not None:
-            self._on_send(self, message)
         send_time = now
         ordinal = self.stats.messages_sent
-        instruments = self._sim.instruments
-        if instruments is not None:
-            if instruments.metrics is not None:
-                instruments.metrics.counter(
-                    "channel_messages_total", channel=self.name
-                ).inc()
-            if instruments.tracer is not None:
-                instruments.tracer.emit(
-                    now, "msg.send", self.name, channel=self.name, n=ordinal
-                )
+        tracer = self._sim.tracer
+        if tracer is not None:
+            tracer.emit(now, "msg.send", self.name, channel=self.name, n=ordinal)
 
         def fire() -> None:
             self._pending -= 1

@@ -2,45 +2,22 @@
 
 A :class:`Network` owns a lazily-built full mesh of reliable FIFO channels
 between registered nodes. Each node lives on a named *segment* (think: a
-LAN); traffic listeners observe every send with its source and destination
-segments, which is how the §6 bottleneck-link experiment counts messages
-crossing the slow inter-LAN link.
+LAN). Every send is counted once per channel (``ChannelStats``, summed by
+:attr:`Network.messages_sent`) and, when a metrics registry is attached,
+once in ``net_messages_total{network,kind}`` and, if it leaves its
+segment, in ``bottleneck_crossings_total{network}`` — the §6
+bottleneck-link count of messages crossing the slow inter-LAN link.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.sim import rng as rng_mod
 from repro.sim.channel import DelayModel, FixedDelay, ReliableFifoChannel
 from repro.sim.core import Simulator
-
-TrafficListener = Callable[["SendRecord"], None]
-
-
-@dataclass(frozen=True)
-class SendRecord:
-    """One message observed on the network, at send time."""
-
-    time: float
-    network: str
-    src: str
-    dst: str
-    src_segment: str
-    dst_segment: str
-    payload: Any
-
-    @property
-    def crosses_segments(self) -> bool:
-        return self.src_segment != self.dst_segment
-
-    @property
-    def kind(self) -> str:
-        """A coarse classification of the payload (its type name)."""
-        return type(self.payload).__name__
-
 
 @dataclass
 class _Node:
@@ -67,8 +44,6 @@ class Network:
         self._nodes: dict[str, _Node] = {}
         self._channels: dict[tuple[str, str], ReliableFifoChannel] = {}
         self._delays: dict[tuple[str, str], DelayModel] = {}
-        self._listeners: list[TrafficListener] = []
-        self.messages_sent = 0
 
     def add_node(
         self,
@@ -91,6 +66,11 @@ class Network:
     def segment_of(self, node_id: str) -> str:
         return self._nodes[node_id].segment
 
+    @property
+    def messages_sent(self) -> int:
+        """Messages sent so far, summed over this network's channels."""
+        return sum(channel.stats.messages_sent for channel in self._channels.values())
+
     def set_delay(self, src: str, dst: str, delay: DelayModel | float) -> None:
         """Override the delay model for the src->dst direction.
 
@@ -101,10 +81,6 @@ class Network:
             raise ConfigurationError(f"channel {src}->{dst} already in use")
         self._delays[key] = FixedDelay(delay) if isinstance(delay, (int, float)) else delay
 
-    def subscribe(self, listener: TrafficListener) -> None:
-        """Observe every send on this network."""
-        self._listeners.append(listener)
-
     def send(self, src: str, dst: str, payload: Any) -> None:
         """Send *payload* from node *src* to node *dst* (FIFO per pair)."""
         if src not in self._nodes:
@@ -112,23 +88,13 @@ class Network:
         if dst not in self._nodes:
             raise ConfigurationError(f"unknown destination {dst!r}")
         channel = self._channel(src, dst)
-        self.messages_sent += 1
-        record = SendRecord(
-            time=self._sim.now,
-            network=self.name,
-            src=src,
-            dst=dst,
-            src_segment=self._nodes[src].segment,
-            dst_segment=self._nodes[dst].segment,
-            payload=payload,
-        )
         metrics = self._sim.metrics
         if metrics is not None:
-            metrics.counter("net_messages_total", network=self.name).inc()
-            if record.crosses_segments:
+            metrics.counter(
+                "net_messages_total", network=self.name, kind=type(payload).__name__
+            ).inc()
+            if self._nodes[src].segment != self._nodes[dst].segment:
                 metrics.counter("bottleneck_crossings_total", network=self.name).inc()
-        for listener in self._listeners:
-            listener(record)
         channel.send(payload)
 
     def broadcast(self, src: str, payload: Any) -> int:
@@ -161,4 +127,4 @@ class Network:
         return channel
 
 
-__all__ = ["Network", "SendRecord", "TrafficListener"]
+__all__ = ["Network"]

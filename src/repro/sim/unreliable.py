@@ -45,8 +45,6 @@ class ReorderingChannel(ReliableFifoChannel):
         self.stats.messages_sent += 1
         self._pending += 1
         self.stats.max_queue_length = max(self.stats.max_queue_length, self._pending)
-        if self._on_send is not None:
-            self._on_send(self, message)
         send_time = now
 
         def fire() -> None:
@@ -80,7 +78,6 @@ class DuplicatingChannel(ReliableFifoChannel):
         availability: Optional[AvailabilitySchedule] = None,
         rng: Optional[random.Random] = None,
         name: str = "dup-channel",
-        on_send=None,
         dup_probability: float = 0.5,
     ) -> None:
         super().__init__(
@@ -90,7 +87,6 @@ class DuplicatingChannel(ReliableFifoChannel):
             availability=availability,
             rng=rng,
             name=name,
-            on_send=on_send,
         )
         self.dup_probability = dup_probability
         self.duplicates_injected = 0

@@ -19,7 +19,8 @@ from repro.interconnect.topology import interconnect
 from repro.memory.program import Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.metrics import TrafficMeter, VisibilityTracker, response_stats
+from repro.metrics import VisibilityTracker, response_stats
+from repro.obs import Instruments, MetricsRegistry
 from repro.protocols import get
 from repro.sim.core import Simulator
 from repro.workloads import WorkloadSpec, populate_system
@@ -81,10 +82,10 @@ class TestE2InterconnectedMessageCount:
 class TestE3BottleneckLink:
     def test_flat_split_system_crossings(self):
         # Flat system of 6, half on each LAN: every write crosses 3 times.
-        sim = Simulator()
+        registry = MetricsRegistry()
+        sim = Simulator(instruments=Instruments(metrics=registry))
         recorder = HistoryRecorder()
         system = DSMSystem(sim, "S", get("vector-causal"), recorder=recorder, seed=0)
-        meter = TrafficMeter().attach(system.network)
         populate_system(
             system,
             WorkloadSpec(processes=6, ops_per_process=3, write_ratio=1.0),
@@ -93,7 +94,8 @@ class TestE3BottleneckLink:
         )
         run_until_quiescent(sim, [system])
         writes = count_app_writes(recorder.history())
-        assert meter.crossings("lan0", "lan1") == writes * bottleneck_crossings_flat(3)
+        crossings = registry.total("bottleneck_crossings_total")
+        assert crossings == writes * bottleneck_crossings_flat(3)
 
     def test_interconnected_single_crossing(self):
         # Two systems of 3, one per LAN: each write crosses exactly once.

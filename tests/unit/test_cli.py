@@ -192,19 +192,30 @@ class TestStatsCommand:
         assert "MISMATCH" not in out
 
     def test_three_system_chain(self, capsys):
-        code = main(
-            [
-                "stats",
-                "--protocols",
-                "vector-causal,vector-causal,vector-causal",
-                "--topology",
-                "chain",
-                "--ops",
-                "3",
-            ]
-        )
+        # Shared IS-processes (n+m-1 per write) and per-edge ones (n+2m-3).
+        for extra in ([], ["--per-edge"]):
+            code = main(
+                [
+                    "stats",
+                    "--protocols",
+                    "vector-causal,vector-causal,vector-causal",
+                    "--topology",
+                    "chain",
+                    "--ops",
+                    "3",
+                    *extra,
+                ]
+            )
+            out = capsys.readouterr().out
+            assert code == 0, extra
+            assert "MISMATCH" not in out
+            assert "predicted" in out
+
+    def test_zero_write_workload(self, capsys):
+        code = main(["stats", "--protocols", "vector-causal", "--write-ratio", "0"])
+        out = capsys.readouterr().out
         assert code == 0
-        assert "MISMATCH" not in capsys.readouterr().out
+        assert "not checked, the run made no writes" in out
 
 
 class TestBenchCommand:

@@ -1,15 +1,14 @@
-"""Unit tests for traffic, latency, and response-time metrics."""
+"""Unit tests for message counts, latency, and response-time metrics."""
 
 from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
 from repro.metrics import (
     ResponseStats,
-    TrafficMeter,
     VisibilityTracker,
-    messages_per_write,
     response_stats,
 )
+from repro.obs import Instruments, MetricsRegistry
 from repro.protocols import get
 from repro.sim.core import Simulator
 
@@ -21,42 +20,40 @@ def make_system(segments=None, **kwargs):
     return sim, recorder, system
 
 
-class TestTrafficMeter:
+def make_counted_system():
+    registry = MetricsRegistry()
+    sim = Simulator(instruments=Instruments(metrics=registry))
+    system = DSMSystem(sim, "S", get("vector-causal"), recorder=HistoryRecorder())
+    return sim, system, registry
+
+
+class TestMessageCounters:
     def test_counts_by_kind_and_network(self):
-        sim, _, system = make_system()
-        meter = TrafficMeter().attach(system.network)
+        sim, system, registry = make_counted_system()
         system.add_application("A", [Write("x", 1)])
         system.add_application("B", [])
         sim.run()
-        assert meter.total == 1
-        assert meter.by_network["S"] == 1
-        assert meter.by_kind["CausalUpdate"] == 1
+        assert registry.total("net_messages_total") == 1
+        assert registry.total("net_messages_total", network="S") == 1
+        assert registry.total("net_messages_total", kind="CausalUpdate") == 1
 
     def test_cross_segment_counting(self):
-        sim, _, system = make_system()
-        meter = TrafficMeter().attach(system.network)
+        sim, system, registry = make_counted_system()
         system.add_application("A", [Write("x", 1)], segment="lan0")
         system.add_application("B", [], segment="lan0")
         system.add_application("C", [], segment="lan1")
         system.add_application("D", [], segment="lan1")
         sim.run()
-        assert meter.total == 3
-        assert meter.cross_segment == 2  # C and D are on the far segment
-        assert meter.crossings("lan0", "lan1") == 2
+        assert registry.total("net_messages_total") == 3
+        assert registry.total("bottleneck_crossings_total") == 2  # C and D are far
 
-    def test_per_write_average(self):
-        meter = TrafficMeter()
-        meter.total = 10
-        assert meter.per_write(5) == 2.0
-        assert meter.per_write(0) == 0.0
-
-    def test_messages_per_write_helper(self):
+    def test_network_total_is_sum_of_channels(self):
         sim, _, system = make_system()
         system.add_application("A", [Write("x", 1), Write("y", 2)])
         system.add_application("B", [])
         system.add_application("C", [])
         sim.run()
-        assert messages_per_write([system.network], 2) == 2.0
+        assert system.network.messages_sent == 2 * 2
 
 
 class TestVisibilityTracker:

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import MetricsRegistry, combine
 from repro.sim.core import Simulator
 from repro.sim.network import Network
 
 
-def make_net(node_names, segments=None, **kwargs):
-    sim = Simulator()
+def make_net(node_names, segments=None, metrics=None, **kwargs):
+    sim = Simulator(instruments=combine(None, metrics))
     net = Network(sim, **kwargs)
     inboxes = {}
     for index, name in enumerate(node_names):
@@ -85,22 +86,18 @@ class TestSend:
             net.set_delay("a", "b", 9.0)
 
 
-class TestTrafficListeners:
-    def test_listener_sees_segments(self):
-        sim, net, _ = make_net(["a", "b"], segments=["lan0", "lan1"])
-        records = []
-        net.subscribe(records.append)
+class TestSendCounters:
+    def test_cross_segment_send_counted(self):
+        registry = MetricsRegistry()
+        sim, net, _ = make_net(["a", "b"], segments=["lan0", "lan1"], metrics=registry)
         net.send("a", "b", "payload")
-        assert len(records) == 1
-        record = records[0]
-        assert record.src_segment == "lan0"
-        assert record.dst_segment == "lan1"
-        assert record.crosses_segments
-        assert record.kind == "str"
+        assert registry.total("bottleneck_crossings_total", network="net") == 1
+        assert registry.total("net_messages_total", network="net", kind="str") == 1
+        assert registry.total("net_messages_total", kind="int") == 0
 
     def test_same_segment_does_not_cross(self):
-        sim, net, _ = make_net(["a", "b"], segments=["lan0", "lan0"])
-        records = []
-        net.subscribe(records.append)
+        registry = MetricsRegistry()
+        sim, net, _ = make_net(["a", "b"], segments=["lan0", "lan0"], metrics=registry)
         net.send("a", "b", "payload")
-        assert not records[0].crosses_segments
+        assert registry.total("net_messages_total") == net.messages_sent == 1
+        assert registry.total("bottleneck_crossings_total") == 0

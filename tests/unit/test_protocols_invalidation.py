@@ -5,7 +5,7 @@ from repro.memory.interface import UpcallHandler
 from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.metrics import TrafficMeter
+from repro.obs import Instruments, MetricsRegistry
 from repro.protocols import get
 from repro.protocols.invalidation import InvalidationCausalMCS
 from repro.sim.clock import VectorClock
@@ -58,13 +58,14 @@ class TestInvalidationBasics:
 
     def test_no_value_broadcast_on_write(self):
         sim, _, system = make_system()
-        meter = TrafficMeter().attach(system.network)
+        registry = MetricsRegistry()
+        sim.instruments = Instruments(metrics=registry)
         system.add_application("A", [Write("x", 1)])
         for index in range(3):
             system.add_application(f"p{index}", [])
         sim.run()
-        assert meter.by_kind["Invalidation"] == 3
-        assert meter.by_kind.get("FetchReply", 0) == 0  # nobody read
+        assert registry.total("net_messages_total", kind="Invalidation") == 3
+        assert registry.total("net_messages_total", kind="FetchReply") == 0  # nobody read
 
     def test_read_before_any_write_returns_initial(self):
         sim, recorder, system = make_system()

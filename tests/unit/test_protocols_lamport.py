@@ -4,7 +4,7 @@ from repro.checker import check_causal, check_sequential
 from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.metrics import TrafficMeter
+from repro.obs import Instruments, MetricsRegistry
 from repro.protocols import get
 from repro.sim.core import Simulator
 from repro.workloads import WorkloadSpec, populate_system
@@ -58,14 +58,15 @@ class TestTotalOrder:
     def test_message_cost_is_quadratic(self):
         # (n-1) write messages + (n-1) ack broadcasts of (n-1) each.
         sim, _, system = make_system()
-        meter = TrafficMeter().attach(system.network)
+        registry = MetricsRegistry()
+        sim.instruments = Instruments(metrics=registry)
         system.add_application("A", [Write("x", 1)])
         for index in range(3):
             system.add_application(f"p{index}", [])
         sim.run()
         n = 4
-        assert meter.by_kind["TotalOrderWrite"] == n - 1
-        assert meter.by_kind["ClockAck"] == (n - 1) * (n - 1)
+        assert registry.total("net_messages_total", kind="TotalOrderWrite") == n - 1
+        assert registry.total("net_messages_total", kind="ClockAck") == (n - 1) * (n - 1)
 
 
 class TestConsistency:

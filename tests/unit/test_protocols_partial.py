@@ -7,10 +7,10 @@ from repro.errors import ConfigurationError
 from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
+from repro.obs import Instruments, MetricsRegistry
 from repro.protocols import get
 from repro.protocols.partial import PartialUpdate, WriteNotice
 from repro.sim.core import Simulator
-from repro.metrics import TrafficMeter
 from repro.workloads import WorkloadSpec, populate_system
 from repro.workloads.scenarios import run_until_quiescent
 
@@ -132,16 +132,19 @@ class TestReadsAndWrites:
 class TestMessageEconomics:
     def test_values_only_to_holders_notices_to_rest(self):
         sim, _, system = make_system(replication_factor=2, seed=4)
-        meter = TrafficMeter().attach(system.network)
+        registry = MetricsRegistry()
+        sim.instruments = Instruments(metrics=registry)
         system.add_application("p0", [Write("x", 1)])
         for index in range(1, 6):
             system.add_application(f"p{index}", [])
         sim.run()
         # 6 nodes, factor 2: value messages to holders other than self,
         # notices to everyone else; total fan-out is always n - 1.
-        assert meter.by_kind["PartialUpdate"] + meter.by_kind["WriteNotice"] == 5
-        assert 1 <= meter.by_kind["PartialUpdate"] <= 2
-        assert meter.by_kind["WriteNotice"] >= 3
+        values = registry.total("net_messages_total", kind="PartialUpdate")
+        notices = registry.total("net_messages_total", kind="WriteNotice")
+        assert values + notices == 5
+        assert 1 <= values <= 2
+        assert notices >= 3
 
     def test_notice_counter(self):
         sim, _, system = make_system(replication_factor=1, seed=5)

@@ -1,73 +1,49 @@
-"""Unit tests for byte-level traffic accounting and hybrid workloads."""
+"""Unit tests for message counts by kind and hybrid workloads."""
+
+from dataclasses import fields
 
 from repro.memory.program import Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.metrics import MESSAGE_OVERHEAD_BYTES, TrafficMeter, estimate_bytes
+from repro.obs import Instruments, MetricsRegistry
 from repro.protocols import get
-from repro.protocols.messages import CausalUpdate
-from repro.sim.clock import VectorClock
+from repro.protocols.invalidation import Invalidation
 from repro.sim.core import Simulator
 
-
-class TestEstimateBytes:
-    def test_scalars(self):
-        assert estimate_bytes(None) == 0
-        assert estimate_bytes(True) == 1
-        assert estimate_bytes(7) == 8
-        assert estimate_bytes(3.14) == 8
-        assert estimate_bytes("abcd") == 4
-        assert estimate_bytes(b"abc") == 3
-
-    def test_vector_clock_scales_with_entries(self):
-        small = estimate_bytes(VectorClock({0: 1}))
-        big = estimate_bytes(VectorClock({0: 1, 1: 2, 2: 3}))
-        assert big == 3 * small
-
-    def test_dataclass_sums_fields(self):
-        update = CausalUpdate(
-            var="x", value="hello", ts=VectorClock({0: 1}), sender_index=0, sender_name="p",
-        )
-        expected = 1 + 5 + 16 + 8 + 1  # var + value + clock + index + name
-        assert estimate_bytes(update) == expected
-
-    def test_containers(self):
-        assert estimate_bytes([1, 2]) == 16
-        assert estimate_bytes({"k": 1}) == 1 + 8
+#: One writer and three idle peers: n = 4 MCS-processes, nobody reads.
+N = 4
 
 
-class TestByteMeter:
-    def run_with_meter(self, protocol, value):
-        sim = Simulator()
-        system = DSMSystem(sim, "S", get(protocol), recorder=HistoryRecorder(), seed=0)
-        meter = TrafficMeter().attach(system.network)
-        system.add_application("A", [Write("x", value)])
-        for index in range(3):
-            system.add_application(f"p{index}", [Sleep(20.0)])
-        sim.run()
-        return meter
+def sent_by_kind(protocol, value):
+    """Per-kind message counts of one write of *value* with no reader."""
+    registry = MetricsRegistry()
+    sim = Simulator(instruments=Instruments(metrics=registry))
+    system = DSMSystem(sim, "S", get(protocol), recorder=HistoryRecorder(), seed=0)
+    system.add_application("A", [Write("x", value)])
+    for index in range(N - 1):
+        system.add_application(f"p{index}", [Sleep(20.0)])
+    sim.run()
+    kinds = ("CausalUpdate", "Invalidation", "FetchReply")
+    counts = {kind: registry.total("net_messages_total", kind=kind) for kind in kinds}
+    assert sum(counts.values()) == registry.total("net_messages_total")
+    return counts
 
-    def test_bytes_counted_per_kind(self):
-        meter = self.run_with_meter("vector-causal", "v" * 100)
-        assert meter.total_bytes > 0
-        assert meter.by_kind_bytes["CausalUpdate"] == meter.total_bytes
 
-    def test_value_size_visible_in_bytes_not_counts(self):
-        small = self.run_with_meter("vector-causal", "v")
-        large = self.run_with_meter("vector-causal", "v" * 500)
-        assert small.total == large.total
-        assert large.total_bytes > small.total_bytes + 3 * 400
+class TestMessageKinds:
+    def test_propagation_ships_value_to_each_peer(self):
+        counts = sent_by_kind("vector-causal", "v" * 4096)
+        assert counts == {"CausalUpdate": N - 1, "Invalidation": 0, "FetchReply": 0}
 
-    def test_invalidation_messages_are_small(self):
-        # An invalidation carries no value: its wire size must not grow
-        # with the written value.
-        small = self.run_with_meter("invalidation-causal", "v")
-        large = self.run_with_meter("invalidation-causal", "v" * 500)
-        assert large.by_kind_bytes["Invalidation"] == small.by_kind_bytes["Invalidation"]
+    def test_invalidation_ships_no_value_without_readers(self):
+        counts = sent_by_kind("invalidation-causal", "v" * 4096)
+        assert counts == {"CausalUpdate": 0, "Invalidation": N - 1, "FetchReply": 0}
 
-    def test_overhead_charged_per_message(self):
-        meter = self.run_with_meter("vector-causal", "v")
-        assert meter.total_bytes >= meter.total * MESSAGE_OVERHEAD_BYTES
+    def test_value_size_changes_no_count(self):
+        for protocol in ("vector-causal", "invalidation-causal"):
+            assert sent_by_kind(protocol, "v") == sent_by_kind(protocol, "v" * 4096)
+
+    def test_invalidation_carries_no_value(self):
+        assert "value" not in {spec.name for spec in fields(Invalidation)}
 
 
 class TestHybridWorkloads:
