@@ -156,31 +156,19 @@ class HybridMCS(MCSProcess):
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
         self._drain()
 
-    def _causally_ready(self, ts: VectorClock, sender: int) -> bool:
-        if ts.get(sender) != self._clock.get(sender) + 1:
-            return False
-        return all(
-            ts.get(proc) <= self._clock.get(proc) for proc in ts.processes() if proc != sender
-        )
-
     def _drain(self) -> None:
         progressed = True
         while progressed:
             progressed = False
             for update in list(self._weak_buffer):
-                if self._causally_ready(update.ts, update.sender_index):
+                if update.ts.causally_ready(self._clock, update.sender_index):
                     self._weak_buffer.remove(update)
                     self._apply_weak(update)
                     progressed = True
             strong = self._strong_buffer.get(self._next_strong)
             if strong is not None:
                 own = strong.origin == self.name
-                ready = (
-                    self._causally_ready(strong.ts, strong.sender_index)
-                    if not own
-                    else True
-                )
-                if ready:
+                if own or strong.ts.causally_ready(self._clock, strong.sender_index):
                     del self._strong_buffer[self._next_strong]
                     self._next_strong += 1
                     self._apply_strong(strong, own)

@@ -44,6 +44,13 @@ class Network:
         self._nodes: dict[str, _Node] = {}
         self._channels: dict[tuple[str, str], ReliableFifoChannel] = {}
         self._delays: dict[tuple[str, str], DelayModel] = {}
+        # Send counters, looked up in the registry once and kept until the
+        # simulator's registry changes: payload type -> its
+        # ``net_messages_total{network,kind}`` counter, and the
+        # ``bottleneck_crossings_total`` counter once a send crosses.
+        self._counted_by: Any = None
+        self._kind_counters: dict[type, Any] = {}
+        self._crossing_counter: Any = None
 
     def add_node(
         self,
@@ -90,11 +97,23 @@ class Network:
         channel = self._channel(src, dst)
         metrics = self._sim.metrics
         if metrics is not None:
-            metrics.counter(
-                "net_messages_total", network=self.name, kind=type(payload).__name__
-            ).inc()
+            if metrics is not self._counted_by:
+                self._counted_by = metrics
+                self._kind_counters = {}
+                self._crossing_counter = None
+            kind = type(payload)
+            counter = self._kind_counters.get(kind)
+            if counter is None:
+                counter = self._kind_counters[kind] = metrics.counter(
+                    "net_messages_total", network=self.name, kind=kind.__name__
+                )
+            counter.inc()
             if self._nodes[src].segment != self._nodes[dst].segment:
-                metrics.counter("bottleneck_crossings_total", network=self.name).inc()
+                if self._crossing_counter is None:
+                    self._crossing_counter = metrics.counter(
+                        "bottleneck_crossings_total", network=self.name
+                    )
+                self._crossing_counter.inc()
         channel.send(payload)
 
     def broadcast(self, src: str, payload: Any) -> int:

@@ -48,6 +48,21 @@ class TestExhaustiveBridge:
         assert result.pruned_sleep > 0
 
 
+class TestExplorerTotals:
+    """Explorer totals are part of the byte-identity contract: a change to
+    protocol state, fingerprints or the scheduler that merges or splits
+    states moves them."""
+
+    def test_noread_control_totals(self):
+        result = explore("bridge-noread-control", stop_after=None)
+        assert result.exhausted and result.ok, result.summary()
+        assert (result.explored, result.pruned_sleep, result.pruned_fingerprint) == (
+            58,
+            110,
+            212,
+        ), result.summary()
+
+
 class TestNegativeControls:
     """The explorer must find the races the paper warns about."""
 

@@ -24,6 +24,20 @@ class TestVectorClockBasics:
         with pytest.raises(ValueError):
             VectorClock({0: -1})
 
+    def test_trailing_zero_entries_are_normalised_away(self):
+        clock = VectorClock({0: 2, 5: 0})
+        assert clock == VectorClock({0: 2})
+        assert hash(clock) == hash(VectorClock({0: 2}))
+        assert repr(clock) == "VC({0:2})"
+
+    def test_negative_process_index_rejected(self):
+        # The clock is dense over process indices, which start at zero.
+        with pytest.raises(ValueError):
+            VectorClock({-1: 1})
+        with pytest.raises(ValueError):
+            VectorClock().increment(-1)
+        assert VectorClock({0: 1}).get(-1) == 0
+
     def test_equality_and_hash(self):
         a = VectorClock({0: 1, 1: 2})
         b = VectorClock({1: 2, 0: 1})
@@ -74,6 +88,23 @@ class TestVectorClockOrder:
     def test_processes_lists_nonzero(self):
         clock = VectorClock({3: 1, 7: 2})
         assert sorted(clock.processes()) == [3, 7]
+
+
+class TestCausalReadiness:
+    def test_next_write_with_applied_dependencies_is_ready(self):
+        local = VectorClock({0: 2, 1: 1})
+        assert VectorClock({0: 1, 1: 2}).causally_ready(local, sender=1)
+        assert VectorClock({2: 1}).causally_ready(local, sender=2)
+
+    def test_gap_from_sender_is_not_ready(self):
+        local = VectorClock({1: 1})
+        assert not VectorClock({1: 3}).causally_ready(local, sender=1)
+        assert not VectorClock({1: 1}).causally_ready(local, sender=1)
+
+    def test_unapplied_dependency_is_not_ready(self):
+        local = VectorClock({0: 2})
+        assert not VectorClock({0: 2, 1: 1, 3: 1}).causally_ready(local, sender=1)
+        assert not VectorClock({0: 3, 1: 1}).causally_ready(local, sender=1)
 
 
 class TestLamportClock:

@@ -101,3 +101,25 @@ class TestSendCounters:
         net.send("a", "b", "payload")
         assert registry.total("net_messages_total") == net.messages_sent == 1
         assert registry.total("bottleneck_crossings_total") == 0
+
+    def test_counts_follow_a_swapped_registry(self):
+        first, second = MetricsRegistry(), MetricsRegistry()
+        sim, net, _ = make_net(["a", "b"], segments=["lan0", "lan1"], metrics=first)
+        net.send("a", "b", "payload")
+        net.send("a", "b", 7)
+        sim.instruments = combine(None, second)
+        net.send("a", "b", "payload")
+        sim.instruments = None
+        net.send("a", "b", "payload")
+        assert registry_counts(first) == (2, 1, 1, 2)
+        assert registry_counts(second) == (1, 1, 0, 1)
+        assert net.messages_sent == 4
+
+
+def registry_counts(registry):
+    return (
+        registry.total("net_messages_total", network="net"),
+        registry.total("net_messages_total", kind="str"),
+        registry.total("net_messages_total", kind="int"),
+        registry.total("bottleneck_crossings_total", network="net"),
+    )
